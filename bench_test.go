@@ -26,8 +26,8 @@ var benchWorkloads = []string{"swim", "hmmer", "xalancbmk", "libquantum", "mcf",
 // bctx is the background context the benchmarks run under.
 var bctx = context.Background()
 
-func benchOpts() experiments.Options {
-	return experiments.Options{
+func benchGrid() *experiments.Grid {
+	return &experiments.Grid{
 		Warmup:    4000,
 		Measure:   20000,
 		Workloads: benchWorkloads,
@@ -52,17 +52,16 @@ func benchTable2(b *testing.B, impl config.SchedulerImpl) {
 	b.Helper()
 	var uops int64
 	for i := 0; i < b.N; i++ {
-		opts := benchOpts()
-		opts.Scheduler = impl
-		r := experiments.NewRunner(opts)
-		out, err := r.Table2(bctx)
+		g := benchGrid()
+		g.Scheduler = impl
+		out, err := experiments.NewRunner(g).Table2(bctx)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !strings.Contains(out, "xalancbmk") {
 			b.Fatal("table missing rows")
 		}
-		uops += r.SimulatedUOps()
+		uops += g.Stats().SimulatedUOps
 	}
 	b.ReportMetric(float64(uops)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
@@ -72,7 +71,7 @@ func benchTable2(b *testing.B, impl config.SchedulerImpl) {
 func BenchmarkFig3(b *testing.B) {
 	var slowdown float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts())
+		r := experiments.NewRunner(benchGrid())
 		if _, err := r.Fig3(bctx); err != nil {
 			b.Fatal(err)
 		}
@@ -90,7 +89,7 @@ func BenchmarkFig3(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	var rel float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts())
+		r := experiments.NewRunner(benchGrid())
 		if _, err := r.Fig4(bctx); err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +107,7 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	var removed float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts())
+		r := experiments.NewRunner(benchGrid())
 		if _, err := r.Fig5(bctx); err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +126,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig7(b *testing.B) {
 	var removed float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts())
+		r := experiments.NewRunner(benchGrid())
 		if _, err := r.Fig7(bctx); err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +145,7 @@ func BenchmarkFig7(b *testing.B) {
 func BenchmarkFig8(b *testing.B) {
 	var removed float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts())
+		r := experiments.NewRunner(benchGrid())
 		if _, err := r.Fig8(bctx); err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +162,7 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkDelaySweep regenerates the §5.3 SpecSched_{2,6}_Crit numbers.
 func BenchmarkDelaySweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts())
+		r := experiments.NewRunner(benchGrid())
 		if _, err := r.DelaySweep(bctx); err != nil {
 			b.Fatal(err)
 		}

@@ -63,6 +63,41 @@ func TestSweepCellCacheDedup(t *testing.T) {
 	}
 }
 
+// TestSweepReportUsesCellCache: a Report runs through the same grid as
+// Run, so a report over cells an earlier sweep already computed on the
+// shared cache simulates nothing and renders byte-identical text.
+func TestSweepReportUsesCellCache(t *testing.T) {
+	opts := []specsched.SweepOption{
+		specsched.SweepConfigs("Baseline_0"),
+		specsched.SweepWorkloads("gzip", "hmmer"),
+		specsched.Warmup(1000),
+		specsched.Measure(4000),
+	}
+	want, err := specsched.NewSweep(opts...).Report(ctx, "table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cache := specsched.NewCellCache(0)
+	if _, err := specsched.NewSweep(append(opts, specsched.SweepCellCache(cache))...).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sweep := specsched.NewSweep(append(opts, specsched.SweepCellCache(cache))...)
+	got, err := sweep.Report(ctx, "table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("cached report differs:\n-- cached --\n%s\n-- uncached --\n%s", got, want)
+	}
+	if st := cache.Stats(); st.Hits != 2 || st.Simulated != 2 {
+		t.Fatalf("cache stats %+v, want 2 simulated by Run and 2 hits by Report", st)
+	}
+	if n := sweep.SimulatedUOps(); n != 0 {
+		t.Fatalf("report re-simulated %d µ-ops, want 0", n)
+	}
+}
+
 // TestSweepCellCacheConcurrent: two sweeps over the same grid racing on
 // one cache still simulate each distinct cell exactly once between them,
 // and both arrive at the uncached results. This is the daemon's

@@ -60,7 +60,8 @@
 //	          and skipped when the sweep restarts with the same options
 //	-spec     build the sweep from a declarative SweepSpec JSON file (the
 //	          wire format specschedd serves; see EXPERIMENTS.md) instead
-//	          of the sweep flags, with up-front validation
+//	          of the sweep flags; either way the spec is validated before
+//	          anything runs
 //	-dump     print the sweep's effective SweepSpec as JSON and exit —
 //	          turns a flag invocation into a -spec/daemon-submittable file
 //	-json     write the reports plus every per-(config, workload) run as
@@ -130,8 +131,8 @@ func main() {
 	specsched.MaybeWorker()
 	exp := flag.String("exp", "all", "experiments to run, comma-separated ("+strings.Join(specsched.Reports(), "|")+"|all)")
 	list := flag.Bool("list", false, "print the known experiment names, presets, and workloads, then exit")
-	measure := flag.Int64("measure", 60000, "measured µ-ops per cell")
-	warmup := flag.Int64("warmup", 10000, "warmup µ-ops per cell")
+	measure := flag.Int64("measure", specsched.DefaultMeasure, "measured µ-ops per cell")
+	warmup := flag.Int64("warmup", specsched.DefaultWarmup, "warmup µ-ops per cell")
 	workloads := flag.String("workloads", "", "comma-separated workload subset (default: all 36)")
 	filter := flag.String("filter", "", "regexp selecting workloads (applied after -workloads)")
 	traceGlob := flag.String("trace", "", "glob of recorded µ-op traces to run the grid over")
@@ -204,24 +205,25 @@ func main() {
 		wls = kept
 	}
 
-	opts := []specsched.SweepOption{
-		specsched.SweepWarmup(*warmup),
-		specsched.SweepMeasure(*measure),
-		specsched.SweepJobs(*jobs),
-		specsched.SweepWorkers(*workers),
-		specsched.SweepSeeds(*seeds),
-		specsched.SweepCellTimeout(*timeout),
-		specsched.SweepStallTimeout(*stallTimeout),
-		specsched.SweepRetries(*retries),
-		specsched.SweepRetryBackoff(*retryBackoff, 0),
-		specsched.SweepCheckpoint(*resume),
-		specsched.SweepTimeSkip(*timeskip),
+	spec := specsched.SweepSpec{
+		Traces:       tracePaths,
+		Seeds:        *seeds,
+		Jobs:         *jobs,
+		Workers:      *workers,
+		Warmup:       warmup,
+		Measure:      measure,
+		TimeSkip:     timeskip,
+		Checkpoint:   *resume,
+		CellTimeout:  specsched.Duration(*timeout),
+		StallTimeout: specsched.Duration(*stallTimeout),
+		Retries:      *retries,
+		RetryBackoff: specsched.Duration(*retryBackoff),
 	}
-	if *chaosRate < 0 || *chaosRate > 1 {
-		fatalf("-chaos %v out of range [0,1]", *chaosRate)
+	if len(tracePaths) == 0 || explicitWls {
+		spec.Workloads = wls
 	}
-	if *chaosRate > 0 {
-		chaos := specsched.Chaos{
+	if *chaosRate != 0 {
+		spec.Chaos = &specsched.Chaos{
 			Seed:          *chaosSeed,
 			PanicRate:     *chaosRate,
 			TransientRate: *chaosRate,
@@ -229,69 +231,49 @@ func main() {
 		// Hangs are only recoverable when something bounds the cell, and
 		// torn checkpoint writes only matter when a checkpoint exists.
 		if *timeout > 0 || *stallTimeout > 0 {
-			chaos.HangRate = *chaosRate
+			spec.Chaos.HangRate = *chaosRate
 		}
 		if *resume != "" {
-			chaos.TornWriteRate = *chaosRate
+			spec.Chaos.TornWriteRate = *chaosRate
 		}
-		opts = append(opts, specsched.SweepChaos(chaos))
 		if *retries <= 1 {
 			fmt.Fprintln(os.Stderr, "experiments: warning: -chaos without -retries > 1 will fail injected cells permanently")
 		}
 	}
-	switch {
-	case len(tracePaths) > 0 && !explicitWls:
-		wls = nil
-	default:
-		opts = append(opts, specsched.SweepWorkloads(wls...))
-	}
-	if len(tracePaths) > 0 {
-		opts = append(opts, specsched.SweepTraces(tracePaths...))
-	}
-	progressOpt := specsched.SweepProgress(func(p specsched.Progress) {
-		state := fmt.Sprintf("%.2fs", p.Elapsed.Seconds())
-		if p.IsCache {
-			state = "checkpoint"
-		}
-		if p.Err != nil {
-			state = "FAILED"
-		}
-		if p.Attempts > 1 {
-			state += fmt.Sprintf(" (attempt %d)", p.Attempts)
-		}
-		fmt.Fprintf(os.Stderr, "[%d/%d] %-40s %s\n", p.Done, p.Total, p.Cell, state)
-	})
-	if *progress {
-		opts = append(opts, progressOpt)
-	}
-
-	// -spec replaces the flag-built sweep wholesale with a declarative
-	// SweepSpec, validated up front; the axis and resilience flags above
-	// are ignored. -progress/-exp/-json still apply either way.
-	var sweep *specsched.Sweep
+	// -spec replaces the flag-built spec wholesale; the axis and resilience
+	// flags above are ignored. -progress/-exp/-json still apply either way.
 	if *specFile != "" {
 		data, err := os.ReadFile(*specFile)
 		if err != nil {
 			fatalf("-spec: %v", err)
 		}
-		var spec specsched.SweepSpec
+		spec = specsched.SweepSpec{}
 		if err := json.Unmarshal(data, &spec); err != nil {
 			fatalf("-spec %s: %v", *specFile, err)
 		}
-		var extra []specsched.SweepOption
-		if *progress {
-			extra = append(extra, progressOpt)
-		}
-		sweep, err = specsched.NewSweepFromSpec(spec, extra...)
-		if err != nil {
-			fatalf("-spec %s: %v", *specFile, err)
-		}
-		// The summary and -json metadata describe the effective sweep.
-		wls = spec.Workloads
-		tracePaths = spec.Traces
-	} else {
-		sweep = specsched.NewSweep(opts...)
 	}
+	var extra []specsched.SweepOption
+	if *progress {
+		extra = append(extra, specsched.SweepProgress(func(p specsched.Progress) {
+			state := fmt.Sprintf("%.2fs", p.Elapsed.Seconds())
+			if p.IsCache {
+				state = "checkpoint"
+			}
+			if p.Err != nil {
+				state = "FAILED"
+			}
+			if p.Attempts > 1 {
+				state += fmt.Sprintf(" (attempt %d)", p.Attempts)
+			}
+			fmt.Fprintf(os.Stderr, "[%d/%d] %-40s %s\n", p.Done, p.Total, p.Cell, state)
+		}))
+	}
+	sweep, err := specsched.NewSweepFromSpec(spec, extra...)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	// The summary and -json metadata describe the effective sweep.
+	wls, tracePaths = spec.Workloads, spec.Traces
 
 	if *dump {
 		data, err := json.MarshalIndent(sweep.Spec(), "", "  ")

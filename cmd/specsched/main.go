@@ -70,9 +70,9 @@ func main() {
 	sim := specsched.NewSimulator(
 		specsched.WithPreset(*cfgName),
 		specsched.WithWorkload(*workload),
-		specsched.WithWarmup(*warmup),
-		specsched.WithMeasure(*measure),
-		specsched.WithScheduler(specsched.Scheduler(*scheduler)),
+		specsched.Warmup(*warmup),
+		specsched.Measure(*measure),
+		specsched.UseScheduler(specsched.Scheduler(*scheduler)),
 	)
 	r, err := sim.Run(context.Background())
 	if err != nil {

@@ -20,7 +20,7 @@ func (r *Runner) collectConfigs(ctx context.Context, cfgs []config.CoreConfig) (
 	}
 	set := stats.NewSet()
 	for _, cfg := range cfgs {
-		for _, wl := range r.opts.Workloads {
+		for _, wl := range r.grid.Workloads {
 			if run := runs[key(cfg.Name, wl)]; run != nil {
 				set.Add(run)
 			}
@@ -94,7 +94,7 @@ func (r *Runner) Ablations(ctx context.Context) (string, error) {
 
 	// Merge reference runs into the variant set so normalization works.
 	for _, cfg := range []string{baselineName, "SpecSched_4", "SpecSched_4_Filter", "SpecSched_4_Crit"} {
-		for _, wl := range r.opts.Workloads {
+		for _, wl := range r.grid.Workloads {
 			if run := refSet.Get(cfg, wl); run != nil {
 				varSet.Add(run)
 			}

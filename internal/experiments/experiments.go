@@ -10,330 +10,68 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"specsched/internal/config"
-	"specsched/internal/faultinject"
-	"specsched/internal/sim"
 	"specsched/internal/stats"
 	"specsched/internal/trace"
-	"specsched/internal/worker"
 )
 
-// Options controls simulation length and scope. The paper simulates 50M
-// warmup + 100M measured instructions per run; the defaults here are scaled
-// down ~1000x so the full matrix completes on a laptop (see DESIGN.md §2).
-type Options struct {
-	Warmup  int64
-	Measure int64
-	// Workloads restricts the benchmark list (nil = the full Table 2
-	// suite, or the trace names when Traces is set).
-	Workloads []string
-	// Traces adds recorded µ-op traces (internal/traceio) as workloads:
-	// any workload name matching a trace name replays the file instead of
-	// generating synthetically. Trace names not already in Workloads are
-	// appended to the axis; their header digests join the checkpoint
-	// fingerprint so a swapped trace file invalidates stale cells.
-	Traces []sim.TraceRef
-	// Parallel bounds sweep worker goroutines (0 = GOMAXPROCS) — the
-	// CLI's -jobs.
-	Parallel int
-	// Workers, when positive, executes cells in that many supervised
-	// worker subprocesses (internal/worker) instead of in-process — the
-	// CLI's -workers. The host binary must install the worker hook
-	// (specsched.MaybeWorker) at the top of main. Results are
-	// bit-identical to in-process execution; a crashed worker costs one
-	// respawn and a transient cell retry. When Parallel is unset, pool
-	// concurrency follows the worker count.
-	Workers int
-	// Seeds is the number of seed replicas per (config, workload) cell
-	// (0/1 = the single calibrated profile seed). Replica counters are
-	// pooled into one Run per cell; see sim.DeriveSeed for the seed
-	// derivation.
-	Seeds int
-	// Scheduler overrides the simulator-side wakeup/select implementation
-	// for every run (config.SchedEvent is the presets' default; the scan
-	// implementation is kept for differential testing and perf-trajectory
-	// comparisons). Results are bit-identical either way.
-	Scheduler config.SchedulerImpl
-	// DisableTimeSkip turns quiescent-cycle skipping (config.TimeSkip) off
-	// for every run — the CLI's -timeskip=false. Like Scheduler, it only
-	// changes simulator speed; results are bit-identical either way.
-	DisableTimeSkip bool
-	// CellTimeout bounds one cell's wall clock (0 = unbounded); a timed
-	// out cell fails alone, the sweep continues.
-	CellTimeout time.Duration
-	// StallTimeout arms the pool's stall watchdog (see sim.Pool): a cell
-	// whose simulated-cycle heartbeat freezes for this long fails early
-	// with sim.ErrCellStalled instead of waiting out CellTimeout.
-	StallTimeout time.Duration
-	// MaxAttempts, RetryBackoff, MaxRetryBackoff, and AbandonBudget are
-	// the pool's retry policy for transient cell failures (see sim.Pool;
-	// zero values select the pool defaults, MaxAttempts 0/1 = no retry).
-	MaxAttempts     int
-	RetryBackoff    time.Duration
-	MaxRetryBackoff time.Duration
-	AbandonBudget   int
-	// Chaos, when set, injects the plan's deterministic faults into cells
-	// and checkpoint flushes — the CLI's -chaos flags.
-	Chaos *faultinject.Plan
-	// Checkpoint names a resumable sweep-checkpoint JSON file ("" =
-	// disabled): completed cells are recorded there and an interrupted
-	// sweep restarted with the same options skips them.
-	Checkpoint string
-	// OnProgress, when set, receives a callback after every finished cell.
-	OnProgress func(sim.Progress)
-}
-
-// Defaults fills unset fields. With traces configured, an empty workload
-// list means "the traces only"; trace names missing from an explicit list
-// are appended so every configured trace is part of the grid.
-func (o Options) withDefaults() Options {
-	if o.Warmup <= 0 {
-		o.Warmup = 10000
-	}
-	if o.Measure <= 0 {
-		o.Measure = 60000
-	}
-	if len(o.Workloads) == 0 && len(o.Traces) == 0 {
-		o.Workloads = trace.ProfileNames()
-	}
-	have := make(map[string]bool, len(o.Workloads))
-	for _, wl := range o.Workloads {
-		have[wl] = true
-	}
-	for _, tr := range o.Traces {
-		if !have[tr.Name] {
-			o.Workloads = append(o.Workloads, tr.Name)
-		}
-	}
-	if o.Parallel <= 0 {
-		if o.Workers > 0 {
-			o.Parallel = o.Workers
-		} else {
-			o.Parallel = runtime.GOMAXPROCS(0)
-		}
-	}
-	if o.MaxAttempts == 0 && o.Workers > 0 {
-		// A crashed worker subprocess loses its in-flight cell as a
-		// transient failure; reassignment needs spare attempts to ride on.
-		o.MaxAttempts = 3
-	}
-	if o.Seeds <= 0 {
-		o.Seeds = 1
-	}
-	return o
-}
-
-// Runner executes (configuration × workload × seed) simulations on the
-// internal/sim work-stealing pool, caching pooled per-(config, workload)
-// results so figures sharing configurations (every figure needs
-// Baseline_0) run each simulation exactly once.
+// Runner regenerates the named reports over a Grid, caching pooled
+// per-(config, workload) results so figures sharing configurations (every
+// figure needs Baseline_0) run each simulation exactly once.
 type Runner struct {
-	opts Options
-	// traces indexes opts.Traces by workload name for cell dispatch.
-	traces sim.TraceSet
+	grid *Grid
 
 	mu    sync.Mutex
 	cache map[string]*stats.Run
-	ckpt  *sim.Checkpoint
-	// simulated counts µ-ops simulated by this runner (warmup + measure,
-	// per executed cell; checkpoint-cached cells excluded) — the
-	// numerator of Minsts/sec throughput reports.
-	simulated int64
-	// abandoned accumulates goroutines the runner's pools abandoned to
-	// timeouts and stalls, across every grid it has run.
-	abandoned int
-	// workerRestarts and workerReassigned accumulate subprocess-worker
-	// supervision outcomes (zero unless opts.Workers > 0).
-	workerRestarts   int
-	workerReassigned int
 }
 
-// Abandoned returns how many goroutines this runner's sweeps have
-// abandoned to timeouts and stalls so far.
-func (r *Runner) Abandoned() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.abandoned
+// NewRunner constructs a Runner whose cells execute on g.
+func NewRunner(g *Grid) *Runner {
+	return &Runner{grid: g, cache: make(map[string]*stats.Run)}
 }
-
-// WorkerStats returns how many worker subprocesses this runner's sweeps
-// have respawned after crashes, and how many cell attempts those crashes
-// cost (each reassigned through the transient-retry machinery). Both are
-// zero unless Options.Workers is in effect.
-func (r *Runner) WorkerStats() (restarts, reassigned int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.workerRestarts, r.workerReassigned
-}
-
-// CheckpointSalvage reports what LoadCheckpoint had to salvage from a
-// damaged resume checkpoint ("" when the load was clean or no checkpoint
-// is configured).
-func (r *Runner) CheckpointSalvage() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ckpt == nil || r.ckpt.Salvage() == nil {
-		return ""
-	}
-	return r.ckpt.Salvage().String()
-}
-
-// SimulatedUOps returns the total µ-ops simulated so far (including
-// warmup), across all jobs this runner executed.
-func (r *Runner) SimulatedUOps() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.simulated
-}
-
-// NewRunner constructs a Runner.
-func NewRunner(opts Options) *Runner {
-	r := &Runner{opts: opts.withDefaults(), cache: make(map[string]*stats.Run)}
-	if len(r.opts.Traces) > 0 {
-		r.traces = make(sim.TraceSet, len(r.opts.Traces))
-		for _, tr := range r.opts.Traces {
-			r.traces[tr.Name] = tr
-		}
-	}
-	return r
-}
-
-// Opts returns the effective options.
-func (r *Runner) Opts() Options { return r.opts }
 
 func key(cfg, wl string) string { return cfg + "\x00" + wl }
 
-// checkpoint lazily opens the runner's resume checkpoint, if configured.
-// The fingerprint covers warmup, measure, and scheduler implementation, so
-// a checkpoint written under different sweep options is rejected instead
-// of silently merged.
-func (r *Runner) checkpoint() (*sim.Checkpoint, error) {
-	if r.opts.Checkpoint == "" {
-		return nil, nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ckpt != nil {
-		return r.ckpt, nil
-	}
-	cp, err := sim.LoadCheckpoint(r.opts.Checkpoint,
-		sim.FingerprintTraces(r.opts.Warmup, r.opts.Measure, r.opts.Scheduler, r.traces))
-	if err != nil {
-		return nil, err
-	}
-	cp.SetChaos(r.opts.Chaos)
-	r.ckpt = cp
-	return cp, nil
-}
-
-// runGrid shards the (cfgs × workloads × seeds) grid across the sim pool
-// and folds seed replicas into one pooled Run per (config, workload) pair.
-// The merge walks results in grid-submission order, so the returned map's
-// contents are bit-identical for any worker count. Cell failures (error,
-// panic, timeout) never abort the sweep; they are aggregated into the
-// returned error after every other cell has completed, so the checkpoint
-// retains the surviving cells.
+// runGrid runs the (cfgs × workloads × seeds) grid and folds seed replicas
+// into one pooled Run per (config, workload) pair. The merge walks results
+// in grid-submission order, so the returned map's contents are
+// bit-identical for any worker count. Cell failures (error, panic,
+// timeout) never abort the sweep; they are aggregated into the returned
+// error after every other cell has completed, so the checkpoint retains
+// the surviving cells.
 func (r *Runner) runGrid(ctx context.Context, cfgs []config.CoreConfig) (map[string]*stats.Run, error) {
-	cells := make([]sim.Cell, 0, len(cfgs)*len(r.opts.Workloads)*r.opts.Seeds)
-	for _, cfg := range cfgs {
-		cfg.Scheduler = r.opts.Scheduler
-		if r.opts.DisableTimeSkip {
-			cfg.TimeSkip = false
-		}
-		for _, wl := range r.opts.Workloads {
-			for s := 0; s < r.opts.Seeds; s++ {
-				cells = append(cells, sim.Cell{Config: cfg, Workload: wl, SeedIdx: s})
-			}
-		}
-	}
-	cp, err := r.checkpoint()
-	if err != nil {
+	results, err := r.grid.Run(ctx, r.grid.Cells(cfgs), nil)
+	if results == nil {
 		return nil, err
 	}
-	pool := &sim.Pool{
-		Jobs:            r.opts.Parallel,
-		CellTimeout:     r.opts.CellTimeout,
-		StallTimeout:    r.opts.StallTimeout,
-		MaxAttempts:     r.opts.MaxAttempts,
-		RetryBackoff:    r.opts.RetryBackoff,
-		MaxRetryBackoff: r.opts.MaxRetryBackoff,
-		AbandonBudget:   r.opts.AbandonBudget,
-		Chaos:           r.opts.Chaos,
-		Checkpoint:      cp,
-		OnProgress:      r.opts.OnProgress,
-	}
-	local := sim.LocalRunner{Warmup: r.opts.Warmup, Measure: r.opts.Measure, Traces: r.traces}
-	runner := sim.CellRunner(local)
-	var wp *worker.Pool
-	if r.opts.Workers > 0 {
-		var err error
-		wp, err = worker.NewPool(worker.Options{
-			Workers:  r.opts.Workers,
-			Warmup:   r.opts.Warmup,
-			Measure:  r.opts.Measure,
-			Traces:   r.traces,
-			Fallback: local,
-		})
-		if err != nil {
-			return nil, err
-		}
-		runner = wp
-	}
-	results := pool.RunWith(ctx, cells, runner)
-	defer func() {
-		r.mu.Lock()
-		r.abandoned += pool.Abandoned()
-		if wp != nil {
-			wp.Close()
-			st := wp.Stats()
-			r.workerRestarts += int(st.Restarts)
-			r.workerReassigned += int(st.Reassigned)
-		}
-		r.mu.Unlock()
-	}()
-
 	out := make(map[string]*stats.Run)
 	var failures []string
-	var executed int64
 	for _, res := range results {
 		if res.Err != nil {
 			failures = append(failures, res.Err.Error())
 			continue
 		}
-		if !res.Cached {
-			executed += r.opts.Warmup + r.opts.Measure
-		}
 		k := key(res.Cell.Config.Name, res.Cell.Workload)
 		if pooled, ok := out[k]; ok {
 			pooled.Accumulate(res.Run)
 		} else {
-			clone := *res.Run // checkpoint-owned runs must not be mutated
+			clone := *res.Run // checkpoint- and cache-owned runs must not be mutated
 			out[k] = &clone
 		}
 	}
-	r.mu.Lock()
-	r.simulated += executed
-	r.mu.Unlock()
-	if cp != nil {
-		// Flush even (especially) on cancellation: the completed cells are
-		// what makes an interrupted sweep resumable.
-		if err := cp.Flush(); err != nil {
-			return out, err
-		}
-	}
-	if ctx.Err() != nil {
+	switch {
+	case err != nil:
+		return out, err
+	case ctx.Err() != nil:
 		return out, fmt.Errorf("experiments: sweep interrupted after %d/%d cells: %w",
-			len(cells)-len(failures), len(cells), context.Cause(ctx))
-	}
-	if len(failures) > 0 {
+			len(results)-len(failures), len(results), context.Cause(ctx))
+	case len(failures) > 0:
 		return out, fmt.Errorf("experiments: %d/%d cells failed:\n  %s",
-			len(failures), len(cells), strings.Join(failures, "\n  "))
+			len(failures), len(results), strings.Join(failures, "\n  "))
 	}
 	return out, nil
 }
@@ -350,7 +88,7 @@ func (r *Runner) Collect(ctx context.Context, cfgNames ...string) (*stats.Set, e
 			return nil, err
 		}
 		need := false
-		for _, wl := range r.opts.Workloads {
+		for _, wl := range r.grid.Workloads {
 			// A nil entry is a reservation left by a failed cell — retry
 			// it rather than silently serving an incomplete set.
 			if run, ok := r.cache[key(cn, wl)]; !ok || run == nil {
@@ -380,7 +118,7 @@ func (r *Runner) Collect(ctx context.Context, cfgNames ...string) (*stats.Set, e
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, cn := range cfgNames {
-		for _, wl := range r.opts.Workloads {
+		for _, wl := range r.grid.Workloads {
 			if run := r.cache[key(cn, wl)]; run != nil {
 				set.Add(run)
 			}

@@ -19,11 +19,11 @@ import (
 // behaviour is covered separately.
 var ctx = context.Background()
 
-// tinyOpts keeps experiment tests fast: three contrasting workloads (one
+// tinyGrid keeps experiment tests fast: three contrasting workloads (one
 // with load-use chains over L1 hits, one bank-conflict-prone, one
 // miss-heavy) and short windows.
-func tinyOpts() Options {
-	return Options{
+func tinyGrid() *Grid {
+	return &Grid{
 		Warmup:    3000,
 		Measure:   15000,
 		Workloads: []string{"gzip", "hmmer", "xalancbmk"},
@@ -40,12 +40,12 @@ func TestTable1Static(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := NewRunner(tinyGrid())
 	out, err := r.Table2(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, wl := range tinyOpts().Workloads {
+	for _, wl := range tinyGrid().Workloads {
 		if !strings.Contains(out, wl) {
 			t.Errorf("Table 2 missing workload %s", wl)
 		}
@@ -56,7 +56,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := NewRunner(tinyGrid())
 	if _, err := r.Fig3(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig5ShiftingRemovesBankReplays(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := NewRunner(tinyGrid())
 	out, err := r.Fig5(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestFig5ShiftingRemovesBankReplays(t *testing.T) {
 }
 
 func TestFig8CritRemovesMostReplays(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := NewRunner(tinyGrid())
 	if _, err := r.Fig8(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestFig8CritRemovesMostReplays(t *testing.T) {
 }
 
 func TestRunnerCacheReuse(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := NewRunner(tinyGrid())
 	a, err := r.Collect(ctx, "Baseline_0")
 	if err != nil {
 		t.Fatal(err)
@@ -128,18 +128,19 @@ func TestRunnerCacheReuse(t *testing.T) {
 }
 
 func TestRunnerParallelDeterminism(t *testing.T) {
-	opts := tinyOpts()
-	opts.Parallel = 4
-	a, err := NewRunner(opts).Collect(ctx, "SpecSched_4")
+	g := tinyGrid()
+	g.Jobs = 4
+	a, err := NewRunner(g).Collect(ctx, "SpecSched_4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Parallel = 1
-	b, err := NewRunner(opts).Collect(ctx, "SpecSched_4")
+	g = tinyGrid()
+	g.Jobs = 1
+	b, err := NewRunner(g).Collect(ctx, "SpecSched_4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, wl := range opts.Workloads {
+	for _, wl := range g.Workloads {
 		ra, rb := a.Get("SpecSched_4", wl), b.Get("SpecSched_4", wl)
 		if *ra != *rb {
 			t.Fatalf("%s: parallel and serial runs differ", wl)
@@ -149,9 +150,9 @@ func TestRunnerParallelDeterminism(t *testing.T) {
 
 // summarySet runs the full Summary() sweep (every config the headline
 // numbers need) and returns the resulting pooled runs.
-func summarySet(t *testing.T, opts Options) (*Runner, *stats.Set) {
+func summarySet(t *testing.T, g *Grid) (*Runner, *stats.Set) {
 	t.Helper()
-	r := NewRunner(opts)
+	r := NewRunner(g)
 	if _, err := r.Summary(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +182,12 @@ func assertSetsIdentical(t *testing.T, a, b *stats.Set, what string) {
 // contract on the full Summary() sweep: one worker and eight workers must
 // produce bit-identical statistics, cell scheduling order notwithstanding.
 func TestSummarySweepBitIdenticalAcrossJobs(t *testing.T) {
-	opts := tinyOpts()
-	opts.Parallel = 1
-	_, serial := summarySet(t, opts)
-	opts.Parallel = 8
-	_, pooled := summarySet(t, opts)
+	g := tinyGrid()
+	g.Jobs = 1
+	_, serial := summarySet(t, g)
+	g = tinyGrid()
+	g.Jobs = 8
+	_, pooled := summarySet(t, g)
 	assertSetsIdentical(t, serial, pooled, "jobs=1 vs jobs=8")
 }
 
@@ -193,22 +195,23 @@ func TestSummarySweepBitIdenticalAcrossJobs(t *testing.T) {
 // replicas in seed order regardless of worker count, and must actually
 // change the statistics relative to a single-seed sweep.
 func TestSeedReplicasPoolDeterministically(t *testing.T) {
-	opts := tinyOpts()
-	opts.Seeds = 3
-	opts.Parallel = 1
-	a, err := NewRunner(opts).Collect(ctx, "Baseline_0")
+	g := tinyGrid()
+	g.Seeds = 3
+	g.Jobs = 1
+	a, err := NewRunner(g).Collect(ctx, "Baseline_0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Parallel = 8
-	b, err := NewRunner(opts).Collect(ctx, "Baseline_0")
+	g = tinyGrid()
+	g.Seeds = 3
+	g.Jobs = 8
+	b, err := NewRunner(g).Collect(ctx, "Baseline_0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSetsIdentical(t, a, b, "seeds=3 jobs=1 vs jobs=8")
 
-	single := tinyOpts()
-	c, err := NewRunner(single).Collect(ctx, "Baseline_0")
+	c, err := NewRunner(tinyGrid()).Collect(ctx, "Baseline_0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,40 +221,43 @@ func TestSeedReplicasPoolDeterministically(t *testing.T) {
 	}
 }
 
-// TestRunnerCheckpointResume: a second runner pointed at the same
+// TestRunnerCheckpointResume: a second grid pointed at the same
 // checkpoint re-simulates nothing and reproduces identical statistics; a
 // wider sweep only simulates the new cells.
 func TestRunnerCheckpointResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	opts := tinyOpts()
-	opts.Checkpoint = ckpt
+	grid := func() *Grid {
+		g := tinyGrid()
+		g.Checkpoint = ckpt
+		return g
+	}
 
-	r1 := NewRunner(opts)
-	a, err := r1.Collect(ctx, "Baseline_0", "SpecSched_4")
+	g1 := grid()
+	a, err := NewRunner(g1).Collect(ctx, "Baseline_0", "SpecSched_4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.SimulatedUOps() == 0 {
+	if g1.Stats().SimulatedUOps == 0 {
 		t.Fatal("first sweep simulated nothing")
 	}
 
-	r2 := NewRunner(opts)
-	b, err := r2.Collect(ctx, "Baseline_0", "SpecSched_4")
+	g2 := grid()
+	b, err := NewRunner(g2).Collect(ctx, "Baseline_0", "SpecSched_4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := r2.SimulatedUOps(); n != 0 {
+	if n := g2.Stats().SimulatedUOps; n != 0 {
 		t.Fatalf("resumed sweep re-simulated %d µ-ops, want 0", n)
 	}
 	assertSetsIdentical(t, a, b, "fresh vs resumed")
 
 	// Extending the grid only pays for the new config.
-	r3 := NewRunner(opts)
-	if _, err := r3.Collect(ctx, "Baseline_0", "SpecSched_4", "SpecSched_4_Crit"); err != nil {
+	g3 := grid()
+	if _, err := NewRunner(g3).Collect(ctx, "Baseline_0", "SpecSched_4", "SpecSched_4_Crit"); err != nil {
 		t.Fatal(err)
 	}
-	perCfg := (opts.Warmup + opts.Measure) * int64(len(opts.Workloads))
-	if n := r3.SimulatedUOps(); n != perCfg {
+	perCfg := (g3.Warmup + g3.Measure) * int64(len(g3.Workloads))
+	if n := g3.Stats().SimulatedUOps; n != perCfg {
 		t.Fatalf("extended sweep simulated %d µ-ops, want %d (one config)", n, perCfg)
 	}
 }
@@ -260,9 +266,9 @@ func TestRunnerCheckpointResume(t *testing.T) {
 // cells and is named in the error; the error arrives after the sweep (the
 // healthy cells of the same grid still ran and were cached).
 func TestCollectReportsFailedCellsAfterSweep(t *testing.T) {
-	opts := tinyOpts()
-	opts.Workloads = []string{"gzip", "nonexistent"}
-	r := NewRunner(opts)
+	g := tinyGrid()
+	g.Workloads = []string{"gzip", "nonexistent"}
+	r := NewRunner(g)
 	_, err := r.Collect(ctx, "Baseline_0")
 	if err == nil {
 		t.Fatal("sweep with a broken cell must error")
@@ -276,14 +282,14 @@ func TestCollectReportsFailedCellsAfterSweep(t *testing.T) {
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := NewRunner(tinyGrid())
 	if _, err := r.Run(ctx, "fig42"); err == nil {
 		t.Fatal("unknown experiment must error")
 	}
 }
 
 func TestRunDispatch(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := NewRunner(tinyGrid())
 	for _, name := range []string{"table1", "summary"} {
 		out, err := r.Run(ctx, name)
 		if err != nil {
@@ -296,16 +302,15 @@ func TestRunDispatch(t *testing.T) {
 }
 
 func TestUnknownWorkloadPropagates(t *testing.T) {
-	opts := tinyOpts()
-	opts.Workloads = []string{"nonexistent"}
-	r := NewRunner(opts)
-	if _, err := r.Table2(ctx); err == nil {
+	g := tinyGrid()
+	g.Workloads = []string{"nonexistent"}
+	if _, err := NewRunner(g).Table2(ctx); err == nil {
 		t.Fatal("unknown workload must error")
 	}
 }
 
 func TestAblationsRun(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := NewRunner(tinyGrid())
 	out, err := r.Ablations(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +323,7 @@ func TestAblationsRun(t *testing.T) {
 }
 
 func TestReplaySchemesAgnosticism(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := NewRunner(tinyGrid())
 	out, err := r.ReplaySchemes(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -335,22 +340,25 @@ func TestReplaySchemesAgnosticism(t *testing.T) {
 // let a resumed runner pick up from there without re-simulating them.
 func TestCollectCanceledFlushesCheckpoint(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	opts := tinyOpts()
-	opts.Checkpoint = ckpt
-	opts.Parallel = 1
-	// Long cells so the cancel lands mid-sweep.
-	opts.Measure = 150000
+	grid := func() *Grid {
+		g := tinyGrid()
+		g.Checkpoint = ckpt
+		g.Jobs = 1
+		// Long cells so the cancel lands mid-sweep.
+		g.Measure = 150000
+		return g
+	}
 
 	cctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
-	opts.OnProgress = func(sim.Progress) { once.Do(cancel) } // cancel after the 1st cell
-	r := NewRunner(opts)
-	_, err := r.Collect(cctx, "Baseline_0")
+	g := grid()
+	g.OnProgress = func(sim.Progress) { once.Do(cancel) } // cancel after the 1st cell
+	_, err := NewRunner(g).Collect(cctx, "Baseline_0")
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled sweep returned %v, want context.Canceled", err)
 	}
 
-	cp, err := sim.LoadCheckpoint(ckpt, sim.Fingerprint(opts.Warmup, opts.Measure, opts.Scheduler))
+	cp, err := sim.LoadCheckpoint(ckpt, sim.Fingerprint(g.Warmup, g.Measure, g.Scheduler))
 	if err != nil {
 		t.Fatalf("checkpoint unusable after cancel: %v", err)
 	}
@@ -360,25 +368,26 @@ func TestCollectCanceledFlushesCheckpoint(t *testing.T) {
 	done := cp.Len()
 
 	// Resume: the completed cells are served from the checkpoint.
-	r2 := NewRunner(opts)
-	if _, err := r2.Collect(context.Background(), "Baseline_0"); err != nil {
+	g2 := grid()
+	if _, err := NewRunner(g2).Collect(context.Background(), "Baseline_0"); err != nil {
 		t.Fatal(err)
 	}
-	perCell := opts.Warmup + opts.Measure
-	want := perCell * int64(len(opts.Workloads)-done)
-	if got := r2.SimulatedUOps(); got != want {
+	perCell := g2.Warmup + g2.Measure
+	want := perCell * int64(len(g2.Workloads)-done)
+	if got := g2.Stats().SimulatedUOps; got != want {
 		t.Fatalf("resume simulated %d µ-ops, want %d (%d cells were checkpointed)", got, want, done)
 	}
 }
 
-// TestRunnerTraces pins the trace workload axis: with only Traces set, the
-// grid runs over the traces alone (each named by file stem), and the
-// replayed Table 2 report equals the live one for the recorded workloads.
+// TestRunnerTraces pins trace dispatch: workloads named in Traces replay
+// the recorded file, and the replayed Table 2 report equals the live one
+// for the recorded workloads.
 func TestRunnerTraces(t *testing.T) {
 	const warm, measure = 1000, 5000
 	dir := t.TempDir()
-	var refs []sim.TraceRef
-	for _, wl := range []string{"gzip", "hmmer"} {
+	wls := []string{"gzip", "hmmer"}
+	refs := sim.TraceSet{}
+	for _, wl := range wls {
 		p, err := trace.ByName(wl)
 		if err != nil {
 			t.Fatal(err)
@@ -398,19 +407,14 @@ func TestRunnerTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs = append(refs, ref)
+		refs[ref.Name] = ref
 	}
 
-	rt := NewRunner(Options{Warmup: warm, Measure: measure, Traces: refs})
-	if got := rt.Opts().Workloads; len(got) != 2 || got[0] != "gzip" || got[1] != "hmmer" {
-		t.Fatalf("trace-only options resolved workloads %v, want [gzip hmmer]", got)
-	}
-	replayed, err := rt.Table2(ctx)
+	replayed, err := NewRunner(&Grid{Warmup: warm, Measure: measure, Workloads: wls, Traces: refs}).Table2(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := NewRunner(Options{Warmup: warm, Measure: measure,
-		Workloads: []string{"gzip", "hmmer"}}).Table2(ctx)
+	live, err := NewRunner(&Grid{Warmup: warm, Measure: measure, Workloads: wls}).Table2(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,6 +99,9 @@ type Job struct {
 	cancelReq bool
 	waiters   []chan struct{}
 	done      chan struct{}
+
+	// persistMu serializes manifest writes (see Server.persist).
+	persistMu sync.Mutex
 }
 
 func newJob(id, client string, seq uint64, spec specsched.SweepSpec) *Job {

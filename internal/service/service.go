@@ -497,6 +497,12 @@ func (s *Server) persist(j *Job) {
 	if s.cfg.StateDir == "" {
 		return
 	}
+	// Submit and the dispatcher may persist the same job concurrently.
+	// Unserialized, both writers share the temp file (one rename then
+	// fails) and a stale snapshot can land after a newer one; snapshotting
+	// under the lock makes the last write carry the newest state.
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
 	j.mu.Lock()
 	m := manifest{ID: j.ID, Client: j.Client, Seq: j.seq, State: j.state, Spec: j.Spec}
 	if j.err != nil {

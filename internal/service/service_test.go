@@ -2,7 +2,12 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -331,4 +336,62 @@ func TestServiceRestartRecovery(t *testing.T) {
 	}
 	cells, _, _ = j3.cellsFrom(0)
 	checkCells(t, "replayed job", cells, want)
+}
+
+// TestPersistSerialized: manifest writes racing on one job — Submit's and
+// the dispatcher's, plus the terminal transition's — never collide on the
+// temp file, and the manifest on disk ends in the job's final state.
+func TestPersistSerialized(t *testing.T) {
+	dir := t.TempDir()
+	var mu sync.Mutex
+	var logged []string
+	srv, err := New(Config{StateDir: dir, Logf: func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	j := newJob("jpersist", "c", 0, testSpec())
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				srv.persist(j)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		j.start(func(error) {})
+		srv.persist(j)
+		j.finish(JobDone, nil)
+		srv.persist(j)
+	}()
+	wg.Wait()
+
+	mu.Lock()
+	for _, line := range logged {
+		if strings.Contains(line, "manifest") {
+			t.Errorf("persist logged %q", line)
+		}
+	}
+	mu.Unlock()
+	data, err := os.ReadFile(srv.manifestPath(j.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.State != JobDone {
+		t.Fatalf("manifest ends in state %q, want %q", m.State, JobDone)
+	}
 }

@@ -3,6 +3,7 @@ package specsched
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"specsched/internal/config"
@@ -108,8 +109,8 @@ type SweepSpec struct {
 	Chaos *Chaos `json:"chaos,omitempty"`
 }
 
-// validate is the up-front (construction-time) validation behind
-// NewSweepFromSpec: every named configuration must resolve, every workload
+// validate is the validation behind NewSweepFromSpec, and behind every
+// sweep's first run: every named configuration must resolve, every workload
 // must be a Table 2 benchmark or the stem of a listed trace, every trace
 // header must parse, and every numeric range must make sense. Violations
 // surface as the package's typed sentinels (ErrInvalidConfig,
@@ -205,39 +206,7 @@ func NewSweepFromSpec(spec SweepSpec, opts ...SweepOption) (*Sweep, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	s := NewSweep(
-		SweepConfigs(spec.Configs...),
-		SweepWorkloads(spec.Workloads...),
-		SweepSeeds(max(spec.Seeds, 1)),
-		SweepJobs(spec.Jobs),
-		SweepWorkers(spec.Workers),
-		SweepScheduler(spec.Scheduler),
-		SweepCheckpoint(spec.Checkpoint),
-		SweepCellTimeout(time.Duration(spec.CellTimeout)),
-		SweepStallTimeout(time.Duration(spec.StallTimeout)),
-		SweepRetries(spec.Retries),
-		SweepRetryBackoff(time.Duration(spec.RetryBackoff), time.Duration(spec.MaxRetryBackoff)),
-		SweepAbandonBudget(spec.AbandonBudget),
-	)
-	s.traces = append([]string(nil), spec.Traces...)
-	if spec.Warmup != nil {
-		s.warmup = *spec.Warmup
-	}
-	if spec.Measure != nil {
-		s.measure = *spec.Measure
-	}
-	if spec.TimeSkip != nil {
-		on := *spec.TimeSkip
-		s.timeSkip = &on
-	}
-	if spec.Chaos != nil {
-		c := *spec.Chaos
-		s.chaos = &c
-	}
-	for _, opt := range opts {
-		opt.applySweep(s)
-	}
-	return s, nil
+	return newSweep(spec.clone(), opts), nil
 }
 
 // Spec returns the sweep's declarative description — the exact inverse of
@@ -245,33 +214,26 @@ func NewSweepFromSpec(spec SweepSpec, opts ...SweepOption) (*Sweep, error) {
 // count) made explicit. A Sweep's options are immutable after
 // construction, so Spec may be called at any time, concurrently with a
 // running sweep.
-func (s *Sweep) Spec() SweepSpec {
-	warmup, measure := s.warmup, s.measure
-	spec := SweepSpec{
-		Configs:         append([]string(nil), s.configs...),
-		Workloads:       append([]string(nil), s.workloads...),
-		Traces:          append([]string(nil), s.traces...),
-		Seeds:           max(s.seeds, 1),
-		Jobs:            s.jobs,
-		Workers:         s.workers,
-		Warmup:          &warmup,
-		Measure:         &measure,
-		Scheduler:       s.scheduler,
-		Checkpoint:      s.checkpoint,
-		CellTimeout:     Duration(s.cellTimeout),
-		StallTimeout:    Duration(s.stallTimeout),
-		Retries:         s.retries,
-		RetryBackoff:    Duration(s.retryBackoff),
-		MaxRetryBackoff: Duration(s.maxRetryBackoff),
-		AbandonBudget:   s.abandonBudget,
+func (s *Sweep) Spec() SweepSpec { return s.spec.clone() }
+
+// clone deep-copies the spec, so neither side of NewSweepFromSpec or Spec
+// aliases the other's slices or pointers.
+func (s SweepSpec) clone() SweepSpec {
+	s.Configs = slices.Clone(s.Configs)
+	s.Workloads = slices.Clone(s.Workloads)
+	s.Traces = slices.Clone(s.Traces)
+	s.Warmup = ptrCopy(s.Warmup)
+	s.Measure = ptrCopy(s.Measure)
+	s.TimeSkip = ptrCopy(s.TimeSkip)
+	s.Chaos = ptrCopy(s.Chaos)
+	return s
+}
+
+func ptrTo[T any](v T) *T { return &v }
+
+func ptrCopy[T any](p *T) *T {
+	if p == nil {
+		return nil
 	}
-	if s.timeSkip != nil {
-		on := *s.timeSkip
-		spec.TimeSkip = &on
-	}
-	if s.chaos != nil {
-		c := *s.chaos
-		spec.Chaos = &c
-	}
-	return spec
+	return ptrTo(*p)
 }

@@ -242,8 +242,8 @@ func TestSpecSweepWithTraces(t *testing.T) {
 	want, err := specsched.NewSweep(
 		specsched.SweepConfigs("Baseline_0"),
 		specsched.SweepTraces(path),
-		specsched.SweepWarmup(500),
-		specsched.SweepMeasure(2000),
+		specsched.Warmup(500),
+		specsched.Measure(2000),
 	).Run(ctx)
 	if err != nil {
 		t.Fatal(err)

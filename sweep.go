@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -14,7 +15,6 @@ import (
 	"specsched/internal/experiments"
 	"specsched/internal/faultinject"
 	"specsched/internal/sim"
-	"specsched/internal/worker"
 	"specsched/results"
 )
 
@@ -95,50 +95,28 @@ type Progress struct {
 // Results streams — is bit-identical regardless of worker count or
 // completion order.
 type Sweep struct {
-	configs         []string
-	workloads       []string
-	traces          []string
-	seeds           int
-	jobs            int
-	workers         int
-	warmup          int64
-	measure         int64
-	scheduler       Scheduler
-	timeSkip        *bool
-	checkpoint      string
-	cellTimeout     time.Duration
-	stallTimeout    time.Duration
-	retries         int
-	retryBackoff    time.Duration
-	maxRetryBackoff time.Duration
-	abandonBudget   int
-	chaos           *Chaos
-	cellCache       *CellCache
-	onProgress      func(Progress)
+	spec       SweepSpec // every wire-expressible knob
+	cellCache  *CellCache
+	onProgress func(Progress)
 
 	mu        sync.Mutex
-	runner    *experiments.Runner // lazy; backs Report
-	simulated int64               // µ-ops simulated by raw-grid runs (Run/Results)
+	grid      *experiments.Grid   // lazy: spec resolved for execution, behind Run, Results and Report
+	runner    *experiments.Runner // lazy, with grid; backs Report
 	failures  map[CellRef]CellFailure
 	retried   int // extra attempts spent across all cells
 	recovered int // cells that failed at least once but ultimately succeeded
-	abandoned int // goroutines abandoned to timeouts/stalls by raw-grid pools
-	salvage   string
-
-	workerRestarts   int // worker processes respawned after a crash
-	workerReassigned int // cell attempts lost to a worker death and retried elsewhere
 }
 
 // SweepConfigs sets the configuration presets of the grid (required for
 // Run and Results; ignored by Report, whose experiments pick their own).
 func SweepConfigs(names ...string) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.configs = append([]string(nil), names...) })
+	return sweepOptionFunc(func(s *Sweep) { s.spec.Configs = append([]string(nil), names...) })
 }
 
 // SweepWorkloads restricts the workload axis (default: the full Table 2
 // suite).
 func SweepWorkloads(names ...string) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.workloads = append([]string(nil), names...) })
+	return sweepOptionFunc(func(s *Sweep) { s.spec.Workloads = append([]string(nil), names...) })
 }
 
 // SweepTraces adds recorded µ-op traces (see Workload.Record and
@@ -151,21 +129,15 @@ func SweepWorkloads(names ...string) SweepOption {
 // of a trace cell vary the wrong-path seed only (the recorded stream is
 // fixed); replica 0 replays bit-identically to the live workload.
 func SweepTraces(paths ...string) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.traces = append(s.traces, paths...) })
+	return sweepOptionFunc(func(s *Sweep) { s.spec.Traces = append(s.spec.Traces, paths...) })
 }
 
 // SweepSeeds sets the number of seed replicas per (config, workload) cell
 // (default 1: the calibrated profile seed).
-func SweepSeeds(n int) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.seeds = n }) }
+func SweepSeeds(n int) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.spec.Seeds = n }) }
 
 // SweepJobs bounds the worker goroutines (default: GOMAXPROCS).
-func SweepJobs(n int) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.jobs = n }) }
-
-// defaultWorkerRetries is the per-cell attempt budget a sweep with
-// subprocess workers gets when the caller set none: worker crashes are
-// transient failures by design, and reassigning the lost cell needs at
-// least one spare attempt.
-const defaultWorkerRetries = 3
+func SweepJobs(n int) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.spec.Jobs = n }) }
 
 // SweepWorkers executes cells in n supervised worker subprocesses instead
 // of in-process goroutines (default 0 = in-process). Each worker is a
@@ -181,40 +153,20 @@ const defaultWorkerRetries = 3
 // reassignments. Unless SweepJobs says otherwise, the pool concurrency
 // follows the worker count; unless SweepRetries says otherwise, the
 // per-cell attempt budget defaults to 3 so reassignment has room to work.
-func SweepWorkers(n int) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.workers = n }) }
-
-// SweepWarmup sets the per-cell warmup window in µ-ops.
-//
-// Deprecated: use Warmup, which simulators accept too.
-func SweepWarmup(uops int64) SweepOption { return Warmup(uops) }
-
-// SweepMeasure sets the per-cell measurement window in µ-ops.
-//
-// Deprecated: use Measure, which simulators accept too.
-func SweepMeasure(uops int64) SweepOption { return Measure(uops) }
-
-// SweepScheduler selects the wakeup/select implementation for every cell.
-//
-// Deprecated: use UseScheduler, which simulators accept too.
-func SweepScheduler(impl Scheduler) SweepOption { return UseScheduler(impl) }
-
-// SweepTimeSkip toggles quiescent-cycle skipping for every cell.
-//
-// Deprecated: use TimeSkip, which simulators accept too.
-func SweepTimeSkip(on bool) SweepOption { return TimeSkip(on) }
+func SweepWorkers(n int) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.spec.Workers = n }) }
 
 // SweepCheckpoint names a resumable checkpoint file: completed cells are
 // recorded there (flushed periodically and on completion or cancellation)
 // and a restarted sweep with the same options skips them. A file written
 // under different sweep options is rejected, not silently merged.
 func SweepCheckpoint(path string) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.checkpoint = path })
+	return sweepOptionFunc(func(s *Sweep) { s.spec.Checkpoint = path })
 }
 
 // SweepCellTimeout bounds one cell's wall-clock time (0 = unbounded); a
 // timed-out cell fails alone and the sweep continues.
 func SweepCellTimeout(d time.Duration) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.cellTimeout = d })
+	return sweepOptionFunc(func(s *Sweep) { s.spec.CellTimeout = Duration(d) })
 }
 
 // SweepStallTimeout arms the per-cell stall watchdog: a cell whose
@@ -223,7 +175,7 @@ func SweepCellTimeout(d time.Duration) SweepOption {
 // but progressing cells are spared — the watchdog reads forward progress,
 // not wall clock. 0 (the default) disables it.
 func SweepStallTimeout(d time.Duration) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.stallTimeout = d })
+	return sweepOptionFunc(func(s *Sweep) { s.spec.StallTimeout = Duration(d) })
 }
 
 // SweepRetries sets the attempt budget per cell (default 1 = no retries).
@@ -232,14 +184,16 @@ func SweepStallTimeout(d time.Duration) SweepOption {
 // (ErrBadTrace, ErrInvalidConfig) fail immediately: rerunning a
 // deterministic simulator on identical input cannot change the outcome.
 func SweepRetries(attempts int) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.retries = attempts })
+	return sweepOptionFunc(func(s *Sweep) { s.spec.Retries = attempts })
 }
 
 // SweepRetryBackoff shapes the delay between retry attempts: base before
 // the first retry, doubling per subsequent retry, capped at max (base 0
 // defaults to 100ms, max 0 to 32×base).
 func SweepRetryBackoff(base, max time.Duration) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.retryBackoff, s.maxRetryBackoff = base, max })
+	return sweepOptionFunc(func(s *Sweep) {
+		s.spec.RetryBackoff, s.spec.MaxRetryBackoff = Duration(base), Duration(max)
+	})
 }
 
 // SweepAbandonBudget bounds the goroutines a sweep may abandon to timed-out
@@ -248,7 +202,7 @@ func SweepRetryBackoff(base, max time.Duration) SweepOption {
 // cancellation). 0 (the default) allows 2× the worker count; negative is
 // unlimited.
 func SweepAbandonBudget(n int) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.abandonBudget = n })
+	return sweepOptionFunc(func(s *Sweep) { s.spec.AbandonBudget = n })
 }
 
 // Chaos is a deterministic fault-injection plan for resilience testing:
@@ -301,7 +255,7 @@ func (c *Chaos) plan() *faultinject.Plan {
 // checkpoint flush (nil = no injection). Production sweeps leave this
 // unset; CI chaos jobs and cmd/experiments -chaos use it to prove the
 // resilience machinery end to end.
-func SweepChaos(c Chaos) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.chaos = &c }) }
+func SweepChaos(c Chaos) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.spec.Chaos = &c }) }
 
 // SweepProgress installs a progress callback, invoked after every finished
 // cell from a single goroutine.
@@ -311,212 +265,134 @@ func SweepProgress(fn func(Progress)) SweepOption {
 
 // NewSweep builds a sweep description. Options are validated when the
 // sweep runs, so construction never fails.
-func NewSweep(opts ...SweepOption) *Sweep {
-	s := &Sweep{seeds: 1, warmup: DefaultWarmup, measure: DefaultMeasure}
+func NewSweep(opts ...SweepOption) *Sweep { return newSweep(SweepSpec{}, opts) }
+
+// newSweep stores spec, with its construction defaults made explicit, and
+// applies opts on top of it.
+func newSweep(spec SweepSpec, opts []SweepOption) *Sweep {
+	if spec.Warmup == nil {
+		spec.Warmup = ptrTo(DefaultWarmup)
+	}
+	if spec.Measure == nil {
+		spec.Measure = ptrTo(DefaultMeasure)
+	}
+	spec.Seeds = max(spec.Seeds, 1)
+	s := &Sweep{spec: spec}
 	for _, o := range opts {
 		o.applySweep(s)
 	}
 	return s
 }
 
-// loadTraces resolves the sweep's trace paths into a trace set plus the
-// ordered trace workload names, validating every header up front.
-func (s *Sweep) loadTraces() (sim.TraceSet, []string, error) {
-	if len(s.traces) == 0 {
-		return nil, nil, nil
+// workloadAxis loads the spec's traces and resolves the workload axis: the
+// explicit Workloads plus every trace name not already listed, so with no
+// explicit list the axis is the traces alone — or the full suite when
+// there are none. The spec must already be validated.
+func (s SweepSpec) workloadAxis() (sim.TraceSet, []string, error) {
+	if len(s.Workloads) == 0 && len(s.Traces) == 0 {
+		return nil, WorkloadNames(), nil
 	}
-	set := make(sim.TraceSet, len(s.traces))
-	names := make([]string, 0, len(s.traces))
-	for _, path := range s.traces {
+	traces := make(sim.TraceSet, len(s.Traces))
+	wls := append([]string(nil), s.Workloads...)
+	for _, path := range s.Traces {
 		ref, err := sim.LoadTrace(path)
 		if err != nil {
 			return nil, nil, wrapErr(ErrBadTrace, err)
 		}
-		if prev, dup := set[ref.Name]; dup {
-			return nil, nil, wrapErrf(ErrInvalidConfig,
-				"specsched: traces %s and %s both name workload %q", prev.Path, ref.Path, ref.Name)
+		traces[ref.Name] = ref
+		if !slices.Contains(wls, ref.Name) {
+			wls = append(wls, ref.Name)
 		}
-		set[ref.Name] = ref
-		names = append(names, ref.Name)
 	}
-	return set, names, nil
+	return traces, wls, nil
 }
 
-// workloadAxis resolves the effective workload list: the explicit
-// SweepWorkloads (validated as Table 2 profiles unless a trace shadows the
-// name) plus any trace workloads not already listed; with no explicit list
-// the axis is the traces alone, or the full suite when there are none.
-func (s *Sweep) workloadAxis(traces sim.TraceSet, traceNames []string) ([]string, error) {
-	if len(s.workloads) == 0 {
-		if len(traceNames) > 0 {
-			return append([]string(nil), traceNames...), nil
-		}
-		return WorkloadNames(), nil
+// resolve validates the spec and resolves it into the sweep's execution
+// grid and report runner, once: every later Run, Results and Report
+// shares them, and with them the checkpoint handle and the accounting.
+// The trace loading runs outside the lock so FailureReport never waits on
+// it; of two racing first runs, the first to publish wins.
+func (s *Sweep) resolve() (*experiments.Grid, *experiments.Runner, error) {
+	s.mu.Lock()
+	g, r := s.grid, s.runner
+	s.mu.Unlock()
+	if g != nil {
+		return g, r, nil
 	}
-	wls := append([]string(nil), s.workloads...)
-	for _, n := range wls {
-		if _, ok := traces[n]; ok {
-			continue
-		}
-		if err := validateWorkloads([]string{n}); err != nil {
-			return nil, err
-		}
+	spec := s.spec
+	if err := spec.validate(); err != nil {
+		return nil, nil, err
 	}
-	listed := make(map[string]bool, len(wls))
-	for _, n := range wls {
-		listed[n] = true
+	impl, _ := spec.Scheduler.impl() // validated above
+	traces, wls, err := spec.workloadAxis()
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, n := range traceNames {
-		if !listed[n] {
-			wls = append(wls, n)
-		}
+	g = &experiments.Grid{
+		Warmup:          *spec.Warmup,
+		Measure:         *spec.Measure,
+		Workloads:       wls,
+		Traces:          traces,
+		Seeds:           spec.Seeds,
+		Scheduler:       impl,
+		TimeSkip:        spec.TimeSkip,
+		Jobs:            spec.Jobs,
+		Workers:         spec.Workers,
+		CellTimeout:     time.Duration(spec.CellTimeout),
+		StallTimeout:    time.Duration(spec.StallTimeout),
+		MaxAttempts:     spec.Retries,
+		RetryBackoff:    time.Duration(spec.RetryBackoff),
+		MaxRetryBackoff: time.Duration(spec.MaxRetryBackoff),
+		AbandonBudget:   spec.AbandonBudget,
+		Chaos:           spec.Chaos.plan(),
+		Checkpoint:      spec.Checkpoint,
+		OnProgress:      s.poolProgress(),
 	}
-	return wls, nil
+	if s.cellCache != nil {
+		g.Dedup = s.cellCache.d
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.grid == nil {
+		s.grid, s.runner = g, experiments.NewRunner(g)
+	}
+	return s.grid, s.runner, nil
 }
 
-// grid validates the sweep options and expands them into the cell grid, in
-// deterministic grid order (configs outermost, then workloads, then
-// seeds), alongside the trace set backing any trace workloads.
-func (s *Sweep) grid() ([]sim.Cell, sim.TraceSet, error) {
-	if len(s.configs) == 0 {
+// gridCells resolves the sweep and expands its configurations into the
+// cell grid, in deterministic grid order (configs outermost, then
+// workloads, then seeds).
+func (s *Sweep) gridCells() (*experiments.Grid, []sim.Cell, error) {
+	if len(s.spec.Configs) == 0 {
 		return nil, nil, wrapErrf(ErrInvalidConfig,
 			"specsched: sweep has no configurations (use SweepConfigs)")
 	}
-	impl, err := s.scheduler.impl()
+	g, _, err := s.resolve()
 	if err != nil {
 		return nil, nil, err
 	}
-	traces, traceNames, err := s.loadTraces()
-	if err != nil {
-		return nil, nil, err
-	}
-	wls, err := s.workloadAxis(traces, traceNames)
-	if err != nil {
-		return nil, nil, err
-	}
-	seeds := s.seeds
-	if seeds <= 0 {
-		seeds = 1
-	}
-	cells := make([]sim.Cell, 0, len(s.configs)*len(wls)*seeds)
-	for _, cn := range s.configs {
-		cfg, err := config.Preset(cn)
-		if err != nil {
+	cfgs := make([]config.CoreConfig, len(s.spec.Configs))
+	for i, cn := range s.spec.Configs {
+		if cfgs[i], err = config.Preset(cn); err != nil {
 			return nil, nil, wrapErr(ErrInvalidConfig, err)
 		}
-		cfg.Scheduler = impl
-		if s.timeSkip != nil {
-			cfg.TimeSkip = *s.timeSkip
-		}
-		for _, wl := range wls {
-			for i := 0; i < seeds; i++ {
-				cells = append(cells, sim.Cell{Config: cfg, Workload: wl, SeedIdx: i})
-			}
-		}
 	}
-	return cells, traces, nil
+	return g, g.Cells(cfgs), nil
 }
 
-// runPool executes the cells on the work-stealing pool, streaming each
-// finished cell to onResult (which may be nil), recording completions into
-// the checkpoint, and flushing it before returning — including on
-// cancellation, which is what keeps an interrupted sweep resumable.
-func (s *Sweep) runPool(ctx context.Context, cells []sim.Cell, traces sim.TraceSet, onResult func(sim.Result)) ([]sim.Result, error) {
-	plan := s.chaos.plan()
-	var cp *sim.Checkpoint
-	if s.checkpoint != "" {
-		impl, _ := s.scheduler.impl()
-		var err error
-		cp, err = sim.LoadCheckpoint(s.checkpoint, sim.FingerprintTraces(s.warmup, s.measure, impl, traces))
-		if err != nil {
-			return nil, wrapErr(ErrInvalidConfig, err)
-		}
-		cp.SetChaos(plan)
+// runPool executes the cells on the sweep's grid, streaming each finished
+// cell to onResult (which may be nil), and lifts the outcome into the
+// public error taxonomy.
+func (s *Sweep) runPool(ctx context.Context, g *experiments.Grid, cells []sim.Cell, onResult func(sim.Result)) ([]sim.Result, error) {
+	res, flushErr := g.Run(ctx, cells, onResult)
+	if res == nil { // the grid could not start: bad checkpoint or worker pool
+		return nil, wrapErr(ErrInvalidConfig, flushErr)
 	}
-	jobs := s.jobs
-	if jobs == 0 && s.workers > 0 {
-		// One pool goroutine per worker process: more would just queue on
-		// the worker slots and burn their cell timeouts waiting.
-		jobs = s.workers
-	}
-	attempts := s.retries
-	if attempts == 0 && s.workers > 0 {
-		// Worker subprocesses make transient cell failures an expected
-		// operational event — a crashed worker loses its in-flight cell —
-		// so reassignment needs a retry budget to ride on. An explicit
-		// SweepRetries still wins.
-		attempts = defaultWorkerRetries
-	}
-	pool := &sim.Pool{
-		Jobs:            jobs,
-		CellTimeout:     s.cellTimeout,
-		StallTimeout:    s.stallTimeout,
-		MaxAttempts:     attempts,
-		RetryBackoff:    s.retryBackoff,
-		MaxRetryBackoff: s.maxRetryBackoff,
-		AbandonBudget:   s.abandonBudget,
-		Chaos:           plan,
-		Checkpoint:      cp,
-		OnResult:        onResult,
-	}
-	if s.cellCache != nil {
-		pool.Dedup = s.cellCache.d
-		pool.DedupKey = func(c sim.Cell) string {
-			return sim.DedupKey(c, s.warmup, s.measure, traces)
-		}
-	}
-	pool.OnProgress = s.poolProgress()
-
-	local := sim.LocalRunner{Warmup: s.warmup, Measure: s.measure, Traces: traces}
-	runner := sim.CellRunner(local)
-	var wp *worker.Pool
-	if s.workers > 0 {
-		var err error
-		wp, err = worker.NewPool(worker.Options{
-			Workers:  s.workers,
-			Warmup:   s.warmup,
-			Measure:  s.measure,
-			Traces:   traces,
-			Fallback: local,
-		})
-		if err != nil {
-			return nil, wrapErr(ErrInvalidConfig, err)
-		}
-		runner = wp
-	}
-	res := pool.RunWith(ctx, cells, runner)
-	if wp != nil {
-		wp.Close()
-		st := wp.Stats()
-		s.mu.Lock()
-		s.workerRestarts += int(st.Restarts)
-		s.workerReassigned += int(st.Reassigned)
-		s.mu.Unlock()
-	}
-
-	var executed int64
 	var failures int
 	for _, r := range res {
-		if r.Err == nil && !r.Cached && !r.Deduped {
-			executed += s.warmup + s.measure
-		}
 		if r.Err != nil {
 			failures++
 		}
-	}
-	s.mu.Lock()
-	s.simulated += executed
-	s.abandoned += pool.Abandoned()
-	if cp != nil && cp.Salvage() != nil && s.salvage == "" {
-		s.salvage = cp.Salvage().String()
-	}
-	s.mu.Unlock()
-
-	var flushErr error
-	if cp != nil {
-		// Flush even (especially) on cancellation: the completed cells are
-		// what makes the interrupted sweep resumable.
-		flushErr = cp.Flush()
 	}
 	switch {
 	case ctx.Err() != nil:
@@ -634,27 +510,16 @@ type FailureReport struct {
 // The specschedd status endpoint calls it on live jobs on every poll.
 func (s *Sweep) FailureReport() FailureReport {
 	s.mu.Lock()
-	fr := FailureReport{
-		Recovered:         s.recovered,
-		Retries:           s.retried,
-		Abandoned:         s.abandoned,
-		CheckpointSalvage: s.salvage,
-		WorkerRestarts:    s.workerRestarts,
-		WorkerReassigned:  s.workerReassigned,
-	}
+	fr := FailureReport{Recovered: s.recovered, Retries: s.retried}
 	for _, f := range s.failures {
 		fr.Failed = append(fr.Failed, f)
 	}
-	r := s.runner
+	g := s.grid
 	s.mu.Unlock()
-	if r != nil {
-		fr.Abandoned += r.Abandoned()
-		restarts, reassigned := r.WorkerStats()
-		fr.WorkerRestarts += restarts
-		fr.WorkerReassigned += reassigned
-		if fr.CheckpointSalvage == "" {
-			fr.CheckpointSalvage = r.CheckpointSalvage()
-		}
+	if g != nil {
+		st := g.Stats()
+		fr.Abandoned, fr.CheckpointSalvage = st.Abandoned, st.CheckpointSalvage
+		fr.WorkerRestarts, fr.WorkerReassigned = st.WorkerRestarts, st.WorkerReassigned
 	}
 	sort.Slice(fr.Failed, func(i, j int) bool {
 		a, b := fr.Failed[i].Cell, fr.Failed[j].Cell
@@ -691,11 +556,11 @@ func toCell(r sim.Result) Cell {
 // or the context was canceled (matching ErrCanceled, with the completed
 // cells still present in the slice and, if configured, the checkpoint).
 func (s *Sweep) Run(ctx context.Context) ([]Cell, error) {
-	cells, traces, err := s.grid()
+	g, cells, err := s.gridCells()
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.runPool(ctx, cells, traces, nil)
+	res, err := s.runPool(ctx, g, cells, nil)
 	if res == nil {
 		return nil, err
 	}
@@ -718,7 +583,7 @@ func (s *Sweep) Run(ctx context.Context) ([]Cell, error) {
 // coordinates, bit-identical counters — only the order differs.
 func (s *Sweep) Results(ctx context.Context) iter.Seq2[Cell, error] {
 	return func(yield func(Cell, error) bool) {
-		cells, traces, err := s.grid()
+		g, cells, err := s.gridCells()
 		if err != nil {
 			yield(Cell{}, err)
 			return
@@ -733,7 +598,7 @@ func (s *Sweep) Results(ctx context.Context) iter.Seq2[Cell, error] {
 		errc := make(chan error, 1)
 		go func() {
 			defer close(ch)
-			_, err := s.runPool(inner, cells, traces, func(r sim.Result) { ch <- r })
+			_, err := s.runPool(inner, g, cells, func(r sim.Result) { ch <- r })
 			errc <- err
 		}()
 
@@ -776,61 +641,12 @@ func Reports() []string { return experiments.Names() }
 // cache, so figures that share configurations (every figure needs the
 // Baseline_0 runs) pay for them once.
 func (s *Sweep) Report(ctx context.Context, name string) (string, error) {
-	r, err := s.reportRunner()
+	_, r, err := s.resolve()
 	if err != nil {
 		return "", err
 	}
 	out, err := r.Run(ctx, name)
 	return out, mapCtxErr(err)
-}
-
-// reportRunner lazily builds the experiments runner backing Report.
-func (s *Sweep) reportRunner() (*experiments.Runner, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.runner != nil {
-		return s.runner, nil
-	}
-	impl, err := s.scheduler.impl()
-	if err != nil {
-		return nil, err
-	}
-	traces, traceNames, err := s.loadTraces()
-	if err != nil {
-		return nil, err
-	}
-	wls, err := s.workloadAxis(traces, traceNames)
-	if err != nil {
-		return nil, err
-	}
-	refs := make([]sim.TraceRef, 0, len(traceNames))
-	for _, n := range traceNames {
-		refs = append(refs, traces[n])
-	}
-	opts := experiments.Options{
-		Warmup:          s.warmup,
-		Measure:         s.measure,
-		Workloads:       wls,
-		Traces:          refs,
-		Parallel:        s.jobs,
-		Workers:         s.workers,
-		Seeds:           s.seeds,
-		Scheduler:       impl,
-		CellTimeout:     s.cellTimeout,
-		StallTimeout:    s.stallTimeout,
-		MaxAttempts:     s.retries,
-		RetryBackoff:    s.retryBackoff,
-		MaxRetryBackoff: s.maxRetryBackoff,
-		AbandonBudget:   s.abandonBudget,
-		Chaos:           s.chaos.plan(),
-		Checkpoint:      s.checkpoint,
-	}
-	if s.timeSkip != nil {
-		opts.DisableTimeSkip = !*s.timeSkip
-	}
-	opts.OnProgress = s.poolProgress()
-	s.runner = experiments.NewRunner(opts)
-	return s.runner, nil
 }
 
 // Snapshot returns every pooled (config, workload) run the sweep's report
@@ -867,11 +683,10 @@ func (s *Sweep) Snapshot() []results.Run {
 // runs and experiment reports — the numerator of throughput reporting.
 func (s *Sweep) SimulatedUOps() int64 {
 	s.mu.Lock()
-	n := s.simulated
-	r := s.runner
+	g := s.grid
 	s.mu.Unlock()
-	if r != nil {
-		n += r.SimulatedUOps()
+	if g == nil {
+		return 0
 	}
-	return n
+	return g.Stats().SimulatedUOps
 }
